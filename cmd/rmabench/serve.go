@@ -93,7 +93,7 @@ func runMix(p exp.Params, mix loadgen.Mix, skipPreload bool) (loadgen.Result, er
 		return loadgen.Run(opts, mix)
 	}
 
-	db, err := rma.NewSharded(8, rma.WithLockFreeReads(), rma.WithBackgroundRebalancing(-1))
+	db, err := rma.NewSharded(8, rma.WithBackgroundRebalancing(-1))
 	if err != nil {
 		return loadgen.Result{}, err
 	}

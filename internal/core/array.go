@@ -96,11 +96,12 @@ type Array struct {
 	// the shard lock; checkpoints persist it as the replay floor.
 	walLSN uint64
 
-	// view is the published lock-free read snapshot (see readpath.go):
-	// an immutable capture of every reader-reachable header, stored
-	// through an atomic pointer and republished at each geometry change.
-	// Readers load it without the shard lock; everything else about the
-	// Array keeps its "not safe for concurrent use" contract.
+	// view is the published read snapshot (see readpath.go): an
+	// immutable capture of every reader-reachable header, stored through
+	// an atomic pointer and republished at each geometry change. Every
+	// point read goes through it; optimistic readers load it without the
+	// shard lock, while everything else about the Array keeps its "not
+	// safe for concurrent use" contract.
 	view viewPtr
 }
 

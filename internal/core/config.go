@@ -232,9 +232,8 @@ type Stats struct {
 	Checkpoints        uint64
 	CheckpointFailures uint64
 	CheckpointPages    uint64
-	// Lock-free read-path counters (zero unless the shard layer enables
-	// seqlock reads; maintained there, merged into the shard-level
-	// Stats): LockFreeReads counts point reads served without the shard
+	// Lock-free read-path counters (zero on a bare Array; maintained by
+	// the shard layer, merged into the shard-level Stats): LockFreeReads counts point reads served without the shard
 	// lock; ReadRetries counts seqlock attempts discarded by a version
 	// change or a torn view; ReadFallbacks counts reads that exhausted
 	// their retry budget and took the locked path; EpochAdvances counts

@@ -56,10 +56,10 @@ func (a *Array) FindBatch(keys []int64, out []Lookup) []Lookup {
 		}
 		return out
 	}
+	v := a.view.Load()
 	if len(keys) < batchSortMin {
 		for i, k := range keys {
-			v, ok := a.segFind(a.ix.FindUB(k), k)
-			out[i] = Lookup{Val: v, OK: ok}
+			out[i] = probeLookup(v, a.ix.FindUB(k), k)
 		}
 		return out
 	}
@@ -76,7 +76,7 @@ func (a *Array) FindBatch(keys []int64, out []Lookup) []Lookup {
 	if sorted {
 		cur := a.startBatch(keys[0])
 		for i, k := range keys {
-			out[i] = a.nextProbe(&cur, k)
+			out[i] = a.nextProbe(v, &cur, k)
 		}
 		return out
 	}
@@ -88,7 +88,7 @@ func (a *Array) FindBatch(keys []int64, out []Lookup) []Lookup {
 	sortProbes(ps, a.probeTmp)
 	cur := a.startBatch(ps[0].k)
 	for _, p := range ps {
-		out[p.i] = a.nextProbe(&cur, p.k)
+		out[p.i] = a.nextProbe(v, &cur, p.k)
 	}
 	return out
 }
@@ -111,13 +111,20 @@ func (a *Array) startBatch(first int64) batchCursor {
 // nextProbe resolves one probe of an ascending walk: reuse the memoized
 // segment while the probe stays under its right separator, otherwise
 // gallop the cursor forward.
-func (a *Array) nextProbe(c *batchCursor, k int64) Lookup {
+func (a *Array) nextProbe(v *readView, c *batchCursor, k int64) Lookup {
 	if k >= c.upper {
 		c.seg = a.gallopSeg(c.seg, k)
 		c.upper = a.segUpperSep(c.seg)
 	}
-	v, ok := a.segFind(c.seg, k)
-	return Lookup{Val: v, OK: ok}
+	return probeLookup(v, c.seg, k)
+}
+
+// probeLookup runs the view's in-segment probe for k in segment seg
+// (the caller holds the write lock, so the view is current).
+func probeLookup(v *readView, seg int, k int64) Lookup {
+	val, ok, valid := v.segFind(seg, k)
+	mustBeCurrent(valid)
+	return Lookup{Val: val, OK: ok}
 }
 
 // gallopSeg advances the batch cursor from segment seg — whose

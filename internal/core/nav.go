@@ -6,30 +6,6 @@ package core
 // cardinalities, so Rank, Select and CountRange run in O(log S + log B)
 // without touching more than one segment.
 
-// segLowerBound returns the number of elements of segment seg with key
-// strictly below x.
-func (a *Array) segLowerBound(seg int, x int64) int {
-	if a.cfg.Layout == LayoutClustered {
-		runK, _ := a.segRun(seg)
-		return lowerBoundRun(runK, x)
-	}
-	base := seg * a.segSlots
-	kpg, off := a.segPage(a.keys, seg)
-	return swarLowerBound(kpg[off:off+a.segSlots], a.bitmap, base, x)
-}
-
-// segUpperBound returns the number of elements of segment seg with key
-// less than or equal to x.
-func (a *Array) segUpperBound(seg int, x int64) int {
-	if a.cfg.Layout == LayoutClustered {
-		runK, _ := a.segRun(seg)
-		return upperBoundRun(runK, x)
-	}
-	base := seg * a.segSlots
-	kpg, off := a.segPage(a.keys, seg)
-	return swarUpperBound(kpg[off:off+a.segSlots], a.bitmap, base, x)
-}
-
 // rankOf counts stored elements with key < x (inclusive=false) or
 // key <= x (inclusive=true).
 func (a *Array) rankOf(x int64, inclusive bool) int {
@@ -43,12 +19,17 @@ func (a *Array) rankOf(x int64, inclusive bool) int {
 		seg = a.ix.FindLB(x)
 	}
 	cnt := int(a.fen.prefix(seg))
-	if a.cards[seg] > 0 {
+	if c := int(a.cards[seg]); c > 0 {
+		v := a.view.Load()
+		var r int
+		var valid bool
 		if inclusive {
-			cnt += a.segUpperBound(seg, x)
+			r, valid = v.segUpperBound(seg, c, x)
 		} else {
-			cnt += a.segLowerBound(seg, x)
+			r, valid = v.segLowerBound(seg, c, x)
 		}
+		mustBeCurrent(valid)
+		cnt += r
 	}
 	return cnt
 }
@@ -76,43 +57,18 @@ func (a *Array) Select(i int) (key, val int64, ok bool) {
 	return a.elemKey(seg, r), a.elemVal(seg, r), true
 }
 
-// Floor returns the greatest stored element with key <= x.
+// Floor returns the greatest stored element with key <= x, read
+// through the published view.
 func (a *Array) Floor(x int64) (key, val int64, ok bool) {
-	if a.n == 0 {
-		return 0, 0, false
-	}
-	seg := a.ix.FindUB(x)
-	if a.cards[seg] > 0 {
-		if r := a.segUpperBound(seg, x); r > 0 {
-			return a.elemKey(seg, r-1), a.elemVal(seg, r-1), true
-		}
-	}
-	// Only the leftmost reachable segment can lack an element <= x; the
-	// floor, if any, is the maximum of the nearest non-empty segment to
-	// the left (all its elements are <= the separator of seg, <= x).
-	for s := seg - 1; s >= 0; s-- {
-		if c := int(a.cards[s]); c > 0 {
-			return a.elemKey(s, c-1), a.elemVal(s, c-1), true
-		}
-	}
-	return 0, 0, false
+	key, val, ok, valid := a.view.Load().floor(x)
+	mustBeCurrent(valid)
+	return key, val, ok
 }
 
-// Ceiling returns the smallest stored element with key >= x.
+// Ceiling returns the smallest stored element with key >= x, read
+// through the published view.
 func (a *Array) Ceiling(x int64) (key, val int64, ok bool) {
-	if a.n == 0 {
-		return 0, 0, false
-	}
-	seg := a.ix.FindLB(x)
-	if c := int(a.cards[seg]); c > 0 {
-		if r := a.segLowerBound(seg, x); r < c {
-			return a.elemKey(seg, r), a.elemVal(seg, r), true
-		}
-	}
-	for s := seg + 1; s < a.numSegs; s++ {
-		if a.cards[s] > 0 {
-			return a.elemKey(s, 0), a.elemVal(s, 0), true
-		}
-	}
-	return 0, 0, false
+	key, val, ok, valid := a.view.Load().ceiling(x)
+	mustBeCurrent(valid)
+	return key, val, ok
 }

@@ -6,7 +6,12 @@ import (
 	"rma/internal/vmem"
 )
 
-// The lock-free read path (see CONCURRENCY.md, "Lock-free reads").
+// The read path (see CONCURRENCY.md, "The read protocol"). Every point
+// read — Find, Floor, Ceiling, FindBatch and the in-segment bounds of
+// Rank/CountRange — is implemented once, on the published readView
+// below, and serves two callers: seqlock readers racing the writer, and
+// callers holding the write lock, for whom the view is current by
+// construction (see mustBeCurrent).
 //
 // A seqlock reader cannot touch the Array's working fields directly:
 // a resize replaces whole slice headers (cards, bitmap, the page
@@ -42,7 +47,9 @@ import (
 // matching occupied slot) returns valid=false instead of panicking,
 // because a reader racing a publish can observe any mix of old and new
 // words. The shard layer retries on valid=false exactly as it does on a
-// version mismatch.
+// version mismatch. Under the write lock valid=false cannot happen
+// unless a geometry change skipped publishView, so locked callers panic
+// on it instead of retrying (Validate checks the same invariant).
 
 // readView is one immutable snapshot of the Array's reader-reachable
 // headers. Fields are never mutated after publish; the slices they
@@ -78,6 +85,16 @@ func (a *Array) publishView() {
 		valsTab:   a.vals.Table(),
 	}
 	a.view.Store(v)
+}
+
+// mustBeCurrent checks the validity flag of a view read made under the
+// write lock. Every geometry change republishes before returning, so
+// there the view matches the live headers and its reads answer exactly;
+// a torn verdict is the broken invariant of a missed publishView.
+func mustBeCurrent(valid bool) {
+	if !valid {
+		panic("core: locked read saw a stale read view (missed publishView)")
+	}
 }
 
 // AttachEpochGate routes both page spaces' retirement through g, so
@@ -168,10 +185,17 @@ func (v *readView) segAt(seg int) (kpg, vpg []int64, off int, ok bool) {
 	return kpg, vpg, off, true
 }
 
-// find resolves one point lookup against the view. The last result is
-// the validity flag; the first two mirror Find's (value, found).
+// find resolves one point lookup against the view: the index descent,
+// then the in-segment probe. The last result is the validity flag; the
+// first two mirror Find's (value, found).
 func (v *readView) find(key int64) (int64, bool, bool) {
-	seg := v.ix.FindUB(key)
+	return v.segFind(v.ix.FindUB(key), key)
+}
+
+// segFind probes segment seg for key: the in-segment half of a point
+// lookup, shared by find and the batched FindBatch (which amortizes
+// the index-descent half across sorted probes).
+func (v *readView) segFind(seg int, key int64) (int64, bool, bool) {
 	if seg < 0 || seg >= v.numSegs {
 		return 0, false, false
 	}
@@ -224,8 +248,8 @@ func (v *readView) elem(seg, rank int) (key, val int64, ok bool) {
 	return kpg[off+s-base], vpg[off+s-base], true
 }
 
-// segUpperBound counts elements of seg with key <= x (view mirror of
-// Array.segUpperBound).
+// segUpperBound counts elements of seg with key <= x, given the
+// segment's cardinality c.
 func (v *readView) segUpperBound(seg, c int, x int64) (int, bool) {
 	kpg, _, off, ok := v.segAt(seg)
 	if !ok {
@@ -253,7 +277,7 @@ func (v *readView) segLowerBound(seg, c int, x int64) (int, bool) {
 	return swarLowerBound(kpg[off:off+v.segSlots], v.bitmap, base, x), true
 }
 
-// floor mirrors Array.Floor against the view.
+// floor resolves Floor against the view.
 func (v *readView) floor(x int64) (key, val int64, ok, valid bool) {
 	seg := v.ix.FindUB(x)
 	if seg < 0 || seg >= v.numSegs {
@@ -276,6 +300,9 @@ func (v *readView) floor(x int64) (key, val int64, ok, valid bool) {
 			return k, vv, true, true
 		}
 	}
+	// Only the leftmost reachable segment can lack an element <= x; the
+	// floor, if any, is the maximum of the nearest non-empty segment to
+	// the left (all its elements are <= the separator of seg, <= x).
 	for s := seg - 1; s >= 0; s-- {
 		sc, sok := v.card(s)
 		if !sok {
@@ -292,7 +319,7 @@ func (v *readView) floor(x int64) (key, val int64, ok, valid bool) {
 	return 0, 0, false, true
 }
 
-// ceiling mirrors Array.Ceiling against the view.
+// ceiling resolves Ceiling against the view.
 func (v *readView) ceiling(x int64) (key, val int64, ok, valid bool) {
 	seg := v.ix.FindLB(x)
 	if seg < 0 || seg >= v.numSegs {

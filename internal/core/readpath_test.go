@@ -1,14 +1,17 @@
 package core
 
 import (
+	"sort"
 	"testing"
 
 	"rma/internal/workload"
 )
 
-// Differential tests for the optimistic read view: ReadFind, ReadFloor
-// and ReadCeiling must agree exactly with their locked counterparts on
-// a quiescent array across every layout/index configuration, keep
+// Differential tests for the read view: Find, Floor, Ceiling, Rank and
+// CountRange (locked, through the view) and ReadFind, ReadFloor and
+// ReadCeiling (optimistic) must agree exactly with a reference derived
+// from the array's ordered scan — which walks the segments directly,
+// not through the view — across every layout/index configuration, keep
 // agreeing across rebalances and resizes (view republication), and
 // fail closed — valid=false, never garbage — when handed a stale view.
 
@@ -60,15 +63,58 @@ func TestReadPathDifferential(t *testing.T) {
 				}
 				// Mid-stream agreement: the view has survived however
 				// many rebalances, spreads and resizes the stream forced.
+				ref := scanReference(a)
 				for p := 0; p < 200; p++ {
 					x := int64(rng.Uint64n(17_000)) - 300
 					checkReadAgainstLocked(t, a, x)
+					checkReadAgainstScan(t, a, ref, x)
 					if t.Failed() {
 						t.FailNow()
 					}
 				}
 			}
 		})
+	}
+}
+
+// scanRef is the array's elements in key order, collected by
+// ScanRange: the reference the view reads are checked against.
+type scanRef struct{ keys, vals []int64 }
+
+func scanReference(a *Array) scanRef {
+	var r scanRef
+	a.ScanRange(minInt64, maxInt64, func(k, v int64) bool {
+		r.keys = append(r.keys, k)
+		r.vals = append(r.vals, v)
+		return true
+	})
+	return r
+}
+
+// checkReadAgainstScan checks the locked reads at x against the sorted
+// scan reference. Every stored value is a function of its key, so
+// duplicates cannot make the expected value ambiguous.
+func checkReadAgainstScan(t *testing.T, a *Array, ref scanRef, x int64) {
+	t.Helper()
+	keys, vals := ref.keys, ref.vals
+	lb := sort.Search(len(keys), func(i int) bool { return keys[i] >= x })
+	ub := sort.Search(len(keys), func(i int) bool { return keys[i] > x })
+	if v, ok := a.Find(x); ok != (lb < ub) || (ok && v != vals[lb]) {
+		t.Errorf("Find(%d) = (%d,%v), scan has %d copies", x, v, ok, ub-lb)
+	}
+	if k, v, ok := a.Floor(x); ok != (ub > 0) || (ok && (k != keys[ub-1] || v != vals[ub-1])) {
+		t.Errorf("Floor(%d) = (%d,%d,%v), scan disagrees", x, k, v, ok)
+	}
+	if k, v, ok := a.Ceiling(x); ok != (lb < len(keys)) || (ok && (k != keys[lb] || v != vals[lb])) {
+		t.Errorf("Ceiling(%d) = (%d,%d,%v), scan disagrees", x, k, v, ok)
+	}
+	if r := a.Rank(x); r != lb {
+		t.Errorf("Rank(%d) = %d, scan says %d", x, r, lb)
+	}
+	hi := x + 100
+	end := sort.Search(len(keys), func(i int) bool { return keys[i] > hi })
+	if c := a.CountRange(x, hi); c != end-lb {
+		t.Errorf("CountRange(%d, %d) = %d, scan says %d", x, hi, c, end-lb)
 	}
 }
 
@@ -177,4 +223,53 @@ func TestReadPathAllocationFree(t *testing.T) {
 		t.Errorf("ReadFind/ReadFloor/ReadCeiling: %.1f allocs/run, want 0", allocs)
 	}
 	_ = sink
+}
+
+// TestValidateCatchesMissedPublish: every read goes through the
+// published view, so a geometry change that skips publishView would
+// break locked reads too — Validate must notice the stale view, not
+// just the optimistic readers. Each case mutates the headers the way a
+// buggy geometry change would and leaves the old view in place.
+func TestValidateCatchesMissedPublish(t *testing.T) {
+	cases := map[string]func(a *Array){
+		"resize": func(a *Array) {
+			if err := a.resizeTo(a.Capacity()*2, nil); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"cards": func(a *Array) { a.cards = append([]int32(nil), a.cards...) },
+		"index": func(a *Array) { a.rebuildIndexFromLayout() },
+		"pages": func(a *Array) {
+			if err := a.keys.Grow(1); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.SegmentSlots = 8
+			cfg.PageSlots = 32
+			a, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := int64(0); i < 500; i++ {
+				if err := a.Insert(i*7, i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := a.Validate(); err != nil {
+				t.Fatalf("fresh array: %v", err)
+			}
+			stale := a.view.Load()
+			mutate(a)
+			a.view.Store(stale)
+			if err := a.Validate(); err == nil {
+				t.Fatal("Validate accepted a stale read view")
+			} else {
+				t.Log(err)
+			}
+		})
+	}
 }

@@ -4,38 +4,16 @@ import "rma/internal/staticindex"
 
 // Find returns the value stored under key and whether it exists. With
 // duplicate keys any one match is returned. Cost: one index descent plus
-// one in-segment search, exactly the paper's point-lookup path.
+// one in-segment search, exactly the paper's point-lookup path — read
+// through the published view, the same code the seqlock readers run.
 func (a *Array) Find(key int64) (int64, bool) {
 	a.stats.Lookups++
 	if a.n == 0 {
 		return 0, false
 	}
-	return a.segFind(a.ix.FindUB(key), key)
-}
-
-// segFind probes segment seg for key: the in-segment half of a point
-// lookup, shared by Find and the batched FindBatch (which amortizes the
-// index-descent half across sorted probes).
-func (a *Array) segFind(seg int, key int64) (int64, bool) {
-	switch a.cfg.Layout {
-	case LayoutClustered:
-		kpg, off := a.segPage(a.keys, seg)
-		lo, hi := a.runBounds(seg)
-		r := searchRun(kpg[off+lo:off+hi], key)
-		if r >= 0 {
-			vpg, voff := a.segPage(a.vals, seg)
-			return vpg[voff+lo+r], true
-		}
-	default:
-		base := seg * a.segSlots
-		kpg, off := a.segPage(a.keys, seg)
-		s := swarFindEq(kpg[off:off+a.segSlots], a.bitmap, base, key)
-		if s >= 0 {
-			vpg, voff := a.segPage(a.vals, seg)
-			return vpg[voff+s-base], true
-		}
-	}
-	return 0, false
+	v, ok, valid := a.view.Load().find(key)
+	mustBeCurrent(valid)
+	return v, ok
 }
 
 // Contains reports whether key is stored.

@@ -18,6 +18,9 @@ import "fmt"
 //  5. Values travel with keys: Find on every stored key succeeds.
 //  6. Geometry: capacity = numSegs * B, both powers of two, capacity a
 //     multiple of PageSlots.
+//  7. The published read view matches the live headers: layout,
+//     geometry, the cards/bitmap slices, the index and both page tables
+//     (every read, locked or optimistic, goes through it).
 func (a *Array) Validate() error {
 	if got := a.numSegs * a.segSlots; got != a.Capacity() {
 		return fmt.Errorf("capacity mismatch: %d", got)
@@ -27,6 +30,9 @@ func (a *Array) Validate() error {
 	}
 	if a.segSlots&(a.segSlots-1) != 0 {
 		return fmt.Errorf("segment size not a power of two: B=%d", a.segSlots)
+	}
+	if err := a.validateView(); err != nil {
+		return err
 	}
 
 	total := 0
@@ -95,4 +101,32 @@ func (a *Array) Validate() error {
 		}
 	}
 	return nil
+}
+
+// validateView checks invariant 7: the view a reader would load now
+// describes exactly the headers a writer is working on.
+func (a *Array) validateView() error {
+	v := a.view.Load()
+	switch {
+	case v == nil:
+		return fmt.Errorf("read view: none published")
+	case v.layout != a.cfg.Layout || v.pageShift != a.pageShift || v.pageSlots != a.cfg.PageSlots:
+		return fmt.Errorf("read view: layout/page geometry differs from the array")
+	case v.numSegs != a.numSegs || v.segSlots != a.segSlots:
+		return fmt.Errorf("read view: %d segs x %d slots, array has %d x %d",
+			v.numSegs, v.segSlots, a.numSegs, a.segSlots)
+	case !sameSlice(v.cards, a.cards) || !sameSlice(v.bitmap, a.bitmap):
+		return fmt.Errorf("read view: cards/bitmap are not the array's")
+	case v.ix != a.ix:
+		return fmt.Errorf("read view: index is not the array's")
+	case !sameSlice(v.keysTab, a.keys.Table()) || !sameSlice(v.valsTab, a.vals.Table()):
+		return fmt.Errorf("read view: page tables are not the array's")
+	}
+	return nil
+}
+
+// sameSlice reports whether x and y are the same slice header's view of
+// memory: equal length and the same first element.
+func sameSlice[T any](x, y []T) bool {
+	return len(x) == len(y) && (len(x) == 0 || &x[0] == &y[0])
 }

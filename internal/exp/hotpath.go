@@ -36,8 +36,8 @@ type HotpathResult struct {
 	DeferredWindows uint64 `json:"deferred_windows,omitempty"`
 	MaintenanceRuns uint64 `json:"maintenance_runs,omitempty"`
 	// Seqlock read-path accounting, recorded by the shards experiment's
-	// racing-reader series (rebal column "seqlock"): accepted optimistic
-	// reads, discarded attempts, and locked-path rescues.
+	// racing-reader series (getrace): accepted optimistic reads,
+	// discarded attempts, and locked-path rescues.
 	LockFreeReads uint64 `json:"lock_free_reads,omitempty"`
 	ReadRetries   uint64 `json:"read_retries,omitempty"`
 	ReadFallbacks uint64 `json:"read_fallbacks,omitempty"`

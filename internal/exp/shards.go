@@ -94,66 +94,53 @@ func Shards(p Params) []HotpathResult {
 		record(sprintf("scan-merge-s%d", k), scanned, ns, allocs, st)
 
 		// Racing reads: 8 readers against 2 churning writers on the same
-		// loaded map shape, once through the mutex path and once through
-		// the seqlock path (EnableLockFreeReads) — the rebal column names
-		// the read protocol, the seqlock row carries the retry/fallback
-		// accounting. This is the contention corner the lock-free read
-		// mode exists for; on one hardware thread the two rows converge
-		// (readers and writers time-slice), on multicore the seqlock row
-		// is the one that keeps scaling.
-		for _, lf := range []bool{false, true} {
-			m := newShardMap(p, k)
-			rebal := "mutex"
-			if lf {
-				m.EnableLockFreeReads()
-				rebal = "seqlock"
-			}
-			batchPutConcurrent(m, p, 8, 1024)
-			nGets := p.N / 2
-			base := m.Stats()
-			stop := make(chan struct{})
-			var churn sync.WaitGroup
-			for w := 0; w < 2; w++ {
-				churn.Add(1)
-				go func(w int) {
-					defer churn.Done()
-					gen := workload.NewUniform(p.Seed+uint64(w)*977+7, 0)
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						k := gen.Next()
-						if err := m.Insert(k, workload.ValueFor(k)); err != nil {
-							panic(err)
-						}
-						if _, err := m.Delete(k); err != nil {
-							panic(err)
-						}
+		// loaded map shape — the contention corner the seqlock read
+		// protocol exists for. The row carries the retry/fallback
+		// accounting; on one hardware thread readers and writers
+		// time-slice, on multicore readers never queue behind the churn.
+		m = newShardMap(p, k)
+		batchPutConcurrent(m, p, 8, 1024)
+		base = m.Stats()
+		stop := make(chan struct{})
+		var churn sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			churn.Add(1)
+			go func(w int) {
+				defer churn.Done()
+				gen := workload.NewUniform(p.Seed+uint64(w)*977+7, 0)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
 					}
-				}(w)
-			}
-			ns, allocs := measure(nGets, func() {
-				getConcurrent(m, p, 8, nGets)
-			})
-			close(stop)
-			churn.Wait()
-			st := m.Stats()
-			st.ElementCopies -= base.ElementCopies
-			st.PageSwaps -= base.PageSwaps
-			r := HotpathResult{
-				Series: sprintf("getrace-g8-s%d", k), Layout: "sharded", Rebalance: rebal,
-				Ops: nGets, NsPerOp: ns, AllocsPerOp: allocs,
-				ElementCopies: st.ElementCopies, PageSwaps: st.PageSwaps,
-				LockFreeReads: st.LockFreeReads, ReadRetries: st.ReadRetries,
-				ReadFallbacks: st.ReadFallbacks,
-			}
-			results = append(results, r)
-			p.printf("%s\t%s\t%s\t%.1f\t%.3f\t%d\t%d\tlf=%d retry=%d fb=%d\n",
-				r.Series, r.Layout, r.Rebalance, ns, allocs, st.ElementCopies,
-				st.PageSwaps, st.LockFreeReads, st.ReadRetries, st.ReadFallbacks)
+					k := gen.Next()
+					if err := m.Insert(k, workload.ValueFor(k)); err != nil {
+						panic(err)
+					}
+					if _, err := m.Delete(k); err != nil {
+						panic(err)
+					}
+				}
+			}(w)
 		}
+		ns, allocs = measure(nGets, func() {
+			getConcurrent(m, p, 8, nGets)
+		})
+		close(stop)
+		churn.Wait()
+		st = m.Stats()
+		r := HotpathResult{
+			Series: sprintf("getrace-g8-s%d", k), Layout: "sharded", Rebalance: "mutex",
+			Ops: nGets, NsPerOp: ns, AllocsPerOp: allocs,
+			ElementCopies: st.ElementCopies - base.ElementCopies, PageSwaps: st.PageSwaps - base.PageSwaps,
+			LockFreeReads: st.LockFreeReads - base.LockFreeReads, ReadRetries: st.ReadRetries - base.ReadRetries,
+			ReadFallbacks: st.ReadFallbacks - base.ReadFallbacks,
+		}
+		results = append(results, r)
+		p.printf("%s\t%s\t%s\t%.1f\t%.3f\t%d\t%d\tlf=%d retry=%d fb=%d\n",
+			r.Series, r.Layout, r.Rebalance, ns, allocs, r.ElementCopies,
+			r.PageSwaps, r.LockFreeReads, r.ReadRetries, r.ReadFallbacks)
 	}
 	return results
 }

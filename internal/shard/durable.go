@@ -432,6 +432,7 @@ func OpenMap(dir string, cfg core.Config) (*Map, error) {
 		m.shards[i].a = a
 		d.keep[i] = epochs[i]
 	}
+	m.attachGates()
 	m.dur = d
 	return m, nil
 }

@@ -2,7 +2,7 @@ package shard
 
 import "rma/internal/core"
 
-// The seqlock read path (CONCURRENCY.md, "Lock-free reads").
+// The seqlock read path (CONCURRENCY.md, "The read protocol").
 //
 // Writers bump the shard's version word to odd before mutating and back
 // to even after (beginWrite/endWrite, always under the shard mutex). A
@@ -10,8 +10,8 @@ import "rma/internal/core"
 // optimistically through the engine's published view, and accepts the
 // result only if the version is unchanged — otherwise it discards and
 // retries. After seqlockAttempts failed attempts the caller falls back
-// to the locked path, so a write-hot shard degrades to today's behavior
-// instead of live-locking readers.
+// to the same view read under the shard lock, so a write-hot shard
+// degrades to locked reads instead of live-locking readers.
 //
 // Under the race detector this formal data race is made literal-race-
 // free: readLock/readUnlock are the shard mutex in race builds and

@@ -16,9 +16,13 @@
 //
 //   - Every operation locks at most one shard at a time; multi-shard
 //     operations visit shards in ascending index order.
-//   - Shard locks are exclusive even for reads: the engine's "read"
-//     paths mutate internal state (operation counters, walker scratch),
-//     so they cannot share a shard.
+//   - Point reads (Find, Contains, Floor, Ceiling, GetBatch) take no
+//     lock on their fast path: a seqlock-validated optimistic read of
+//     the engine's published read view (core.ReadFind and friends
+//     mutate nothing), falling back to the shard lock after a bounded
+//     number of lost races. Every other read locks exclusively — the
+//     engine's locked paths mutate internal state (operation counters,
+//     walker scratch), so they cannot share a shard.
 //   - Single-shard point operations (Insert, Delete, Find, Contains)
 //     are linearizable. Every operation that may visit more than one
 //     shard — iterators, Min/Max, Floor/Ceiling, Rank, Select,
@@ -31,16 +35,12 @@
 //   - Iterator and scan callbacks run while the current shard's lock is
 //     held and must not call back into the same Map.
 //
-// Lock-free reads (EnableLockFreeReads) relax the second bullet for the
-// point-read fast path only: Find/Contains/Floor/Ceiling/GetBatch first
-// attempt a seqlock-validated optimistic read against the engine's
-// published read view (core.ReadFind and friends mutate nothing), and
-// fall back to the locked path after a bounded number of retries. Writes
-// bump a per-shard version word around every reader-visible mutation;
-// retired vmem pages pass through an epoch gate so an in-flight
-// optimistic reader can never observe a recycled page. Cross-shard scans
-// additionally capture a per-shard version vector and report whether the
-// whole traversal observed a single consistent cut (see snapshot.go).
+// The read protocol (seqlock.go): writes bump a per-shard version word
+// around every reader-visible mutation; retired vmem pages pass through
+// a per-shard epoch gate so an in-flight optimistic reader can never
+// observe a recycled page. Cross-shard scans and Rank additionally
+// capture a per-shard version vector and detect whether the whole
+// traversal observed a single consistent cut (see snapshot.go).
 package shard
 
 import (
@@ -66,10 +66,10 @@ const (
 // writer is mutating reader-visible state. Writers bump it twice around
 // every mutation (beginWrite/endWrite, under mu); optimistic readers
 // capture an even value before reading and revalidate after. gate is
-// the shard's vmem epoch gate (nil until EnableLockFreeReads): readers
-// pin an epoch for the duration of one optimistic attempt, and pages
-// retired by rebalances wait in the gate's limbo until no reader can
-// still hold a reference.
+// the shard's vmem epoch gate (attached at construction, see
+// attachGates): readers pin an epoch for the duration of one optimistic
+// attempt, and pages retired by rebalances wait in the gate's limbo
+// until no reader can still hold a reference.
 type cell struct {
 	mu   sync.Mutex
 	a    *core.Array
@@ -92,7 +92,7 @@ func (s *cell) endWrite()   { s.ver.Add(1) }
 // waiting in limbo. Must run under s.mu — the gate's limbo list is
 // guarded by the owning shard's lock.
 func (s *cell) advanceEpoch() {
-	if s.gate != nil && s.gate.LimboPages() > 0 {
+	if s.gate.LimboPages() > 0 {
 		s.gate.TryAdvance()
 	}
 }
@@ -128,11 +128,6 @@ type Map struct {
 	walPolicy       WALPolicy
 	autoCheckpoints atomic.Uint64
 
-	// lockFree enables the seqlock read path. Set once by
-	// EnableLockFreeReads before the map is shared (like seps), hence
-	// read without synchronization.
-	lockFree bool
-
 	// Lock-free read-path counters, merged into Stats. Atomics because
 	// readers touch them outside any shard lock.
 	lockFreeReads  atomic.Uint64
@@ -166,7 +161,24 @@ func New(cfg core.Config, seps []int64) (*Map, error) {
 		}
 		m.shards[i].a = a
 	}
+	m.attachGates()
 	return m, nil
+}
+
+// attachGates gives every shard its vmem epoch gate and routes the
+// shard's page retirement through it, so pages retired by rebalances
+// are recycled only after every optimistic reader has moved on. It
+// runs once, when the shards' final page spaces exist: at the end of
+// New and of OpenMap (EnableDurability keeps the spaces, so the gates
+// attached by New stay in place).
+//
+//rma:init
+func (m *Map) attachGates() {
+	for i := range m.shards {
+		s := &m.shards[i]
+		s.gate = vmem.NewEpochGate()
+		s.a.AttachEpochGate(s.gate)
+	}
 }
 
 // UniformSeps returns k-1 separators splitting the full int64 key
@@ -405,13 +417,12 @@ func (m *Map) Delete(key int64) (bool, error) {
 	return ok, err
 }
 
-// Find returns a value stored under key.
+// Find returns a value stored under key: lock-free first, locked after
+// seqlockAttempts lost races.
 func (m *Map) Find(key int64) (int64, bool) {
 	j := m.shardOf(key)
-	if m.lockFree {
-		if v, ok, done := m.seqFind(j, key); done {
-			return v, ok
-		}
+	if v, ok, done := m.seqFind(j, key); done {
+		return v, ok
 	}
 	s := &m.shards[j]
 	s.mu.Lock()
@@ -422,14 +433,7 @@ func (m *Map) Find(key int64) (int64, bool) {
 
 // Contains reports whether key is stored.
 func (m *Map) Contains(key int64) bool {
-	if m.lockFree {
-		_, ok := m.Find(key)
-		return ok
-	}
-	s := &m.shards[m.shardOf(key)]
-	s.mu.Lock()
-	ok := s.a.Contains(key)
-	s.mu.Unlock()
+	_, ok := m.Find(key)
 	return ok
 }
 
@@ -464,12 +468,10 @@ func (m *Map) Max() (int64, bool) {
 }
 
 // shardFloor probes shard i for the greatest element with key <= x,
-// lock-free first when enabled, locked otherwise.
+// lock-free first, locked after seqlockAttempts lost races.
 func (m *Map) shardFloor(i int, x int64) (key, val int64, ok bool) {
-	if m.lockFree {
-		if k, v, ok, done := m.seqFloor(i, x); done {
-			return k, v, ok
-		}
+	if k, v, ok, done := m.seqFloor(i, x); done {
+		return k, v, ok
 	}
 	s := &m.shards[i]
 	s.mu.Lock()
@@ -480,10 +482,8 @@ func (m *Map) shardFloor(i int, x int64) (key, val int64, ok bool) {
 
 // shardCeiling probes shard i for the smallest element with key >= x.
 func (m *Map) shardCeiling(i int, x int64) (key, val int64, ok bool) {
-	if m.lockFree {
-		if k, v, ok, done := m.seqCeiling(i, x); done {
-			return k, v, ok
-		}
+	if k, v, ok, done := m.seqCeiling(i, x); done {
+		return k, v, ok
 	}
 	s := &m.shards[i]
 	s.mu.Lock()
@@ -522,32 +522,6 @@ func (m *Map) Ceiling(x int64) (key, val int64, ok bool) {
 }
 
 // --- order statistics ---------------------------------------------------------
-
-// Rank returns the number of stored elements with key < x: the sizes of
-// the shards left of the owning shard plus the in-shard rank. Each shard
-// is read under its own lock; under concurrent writes the sum is a
-// consistent-per-shard snapshot, not a global one — unless lock-free
-// reads are enabled, in which case the sum is retried against the
-// per-shard version vector until all contributing shards agree on one
-// cut (see snapshot.go).
-func (m *Map) Rank(x int64) int {
-	if m.lockFree {
-		return m.snapshotRank(x)
-	}
-	j := m.shardOf(x)
-	r := 0
-	for i := 0; i < j; i++ {
-		s := &m.shards[i]
-		s.mu.Lock()
-		r += s.a.Size()
-		s.mu.Unlock()
-	}
-	s := &m.shards[j]
-	s.mu.Lock()
-	r += s.a.Rank(x)
-	s.mu.Unlock()
-	return r
-}
 
 // Select returns the i-th smallest element (0-based), walking shards
 // left to right until the index falls inside one.
@@ -633,13 +607,14 @@ func (m *Map) FootprintBytes() int64 {
 }
 
 // Stats returns the operation counters summed across shards
-// (MaxWindowSegments is the maximum).
+// (MaxWindowSegments is the maximum), locking each shard once.
 func (m *Map) Stats() core.Stats {
 	var t core.Stats
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.Lock()
 		st := s.a.Stats()
+		advances := s.gate.Advances()
 		s.mu.Unlock()
 		t.Inserts += st.Inserts
 		t.Deletes += st.Deletes
@@ -661,17 +636,10 @@ func (m *Map) Stats() core.Stats {
 		t.Checkpoints += st.Checkpoints
 		t.CheckpointFailures += st.CheckpointFailures
 		t.CheckpointPages += st.CheckpointPages
+		t.EpochAdvances += advances
 		if st.MaxWindowSegments > t.MaxWindowSegments {
 			t.MaxWindowSegments = st.MaxWindowSegments
 		}
-	}
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		if s.gate != nil {
-			t.EpochAdvances += s.gate.Advances()
-		}
-		s.mu.Unlock()
 	}
 	t.LockFreeReads = m.lockFreeReads.Load()
 	t.ReadRetries = m.readRetries.Load()
@@ -693,38 +661,13 @@ func (m *Map) Stats() core.Stats {
 	return t
 }
 
-// --- lock-free reads ----------------------------------------------------------
-
-// EnableLockFreeReads switches the map's point-read fast path to the
-// seqlock protocol (see seqlock.go) and attaches a vmem epoch gate to
-// every shard so rebalance-retired pages are reclaimed only after all
-// optimistic readers have moved on. Must be called before the map is
-// shared across goroutines (the facade calls it at construction), after
-// EnableDurability/OpenMap when durability is in play — the gate routes
-// page retirement, so it must see the final vmem spaces.
-func (m *Map) EnableLockFreeReads() {
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		g := vmem.NewEpochGate()
-		s.gate = g
-		s.a.AttachEpochGate(g)
-		s.mu.Unlock()
-	}
-	m.lockFree = true
-}
-
-// LockFreeReads reports whether the seqlock read path is enabled.
-func (m *Map) LockFreeReads() bool { return m.lockFree }
+// --- epoch reclamation ---------------------------------------------------------
 
 // Quiesce advances every shard's epoch gate as far as reader occupancy
 // allows, draining limbo pages back to the spare pools. internal/rebal
 // calls it before parking its workers; tests call it to assert
 // reclamation progress.
 func (m *Map) Quiesce() {
-	if !m.lockFree {
-		return
-	}
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.Lock()

@@ -3,6 +3,7 @@ package shard
 import (
 	"sort"
 	"testing"
+	"time"
 
 	"rma/internal/core"
 	"rma/internal/workload"
@@ -295,6 +296,57 @@ func TestMergedIterationOrder(t *testing.T) {
 	}
 	if cnt, sum := m.SumAll(); cnt != len(sorted) || sum != wantSum {
 		t.Fatalf("SumAll = (%d,%d), want (%d,%d)", cnt, sum, len(sorted), wantSum)
+	}
+}
+
+// TestTraversalPanicReleasesShardLock: the consumer's loop body runs
+// under the current shard's lock, so a panic there must release it, or
+// the next write to that shard would deadlock.
+func TestTraversalPanicReleasesShardLock(t *testing.T) {
+	m := mustNew(t, 2, []int64{1000})
+	for k := int64(0); k < 2000; k += 10 {
+		if err := m.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	traversals := map[string]func(){
+		"ascend": func() {
+			for range m.IterAscend(0, 2000) {
+				panic("consumer")
+			}
+		},
+		"descend": func() {
+			for range m.IterDescend(0, 2000) {
+				panic("consumer")
+			}
+		},
+		"scan": func() { m.ScanRange(0, 2000, func(k, v int64) bool { panic("consumer") }) },
+	}
+	for name, run := range traversals {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: consumer panic did not propagate", name)
+				}
+			}()
+			run()
+		}()
+		done := make(chan error, 1)
+		go func() {
+			done <- m.Insert(5, 5)
+			_, err := m.Delete(1990)
+			done <- err
+		}()
+		for i := 0; i < 2; i++ {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s: a shard stayed locked after the consumer panicked", name)
+			}
+		}
 	}
 }
 

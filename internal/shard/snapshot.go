@@ -4,14 +4,16 @@ import (
 	"runtime"
 	"sync"
 	"time"
+
+	"rma/internal/core"
 )
 
-// Cross-shard snapshot reads (lock-free mode).
+// Cross-shard snapshot reads.
 //
 // A multi-shard traversal holds one shard lock at a time, so by itself
 // it only guarantees per-shard atomicity: writers can slip between
-// shard visits. In lock-free mode every reader-visible write bumps the
-// owning shard's seqlock version (shard.go), which makes consistency
+// shard visits. Every reader-visible write bumps the owning shard's
+// seqlock version (shard.go), which makes consistency
 // checkable: record each shard's version at its visit, and before
 // reading any later shard revalidate that every previously visited
 // shard still carries its recorded version. If the validation holds
@@ -70,20 +72,38 @@ func (m *Map) versionsMatch(vec []uint64, jLo int) bool {
 // cut: true means there was an instant at which every visited shard
 // simultaneously held exactly the state the callback saw. On a broken
 // cut the scan does not restart (the callback already consumed earlier
-// shards); it completes with the per-shard-atomic semantics of the
-// locked path, counts a SnapshotBreak, and returns false.
+// shards); it completes with per-shard-atomic semantics, counts a
+// SnapshotBreak, and returns false.
 //
 // Early termination by the callback returns the consistency status of
 // the prefix actually visited; a single-shard traversal is trivially
-// consistent. Outside lock-free mode versions never move, so the
-// traversal is reported consistent exactly when it is (writers hold
-// the same locks the scan does, but may interleave between shards
-// without detection — use EnableLockFreeReads for the verdict to be
-// meaningful).
+// consistent.
 func (m *Map) SnapshotScanRange(lo, hi int64, visit func(key, val int64) bool) bool {
 	if lo > hi {
 		return true
 	}
+	return m.traverse(lo, hi, false, func(a *core.Array) (yielded, more bool) {
+		more = true
+		a.ScanRange(lo, hi, func(k, v int64) bool {
+			yielded = true
+			more = visit(k, v)
+			return more
+		})
+		return yielded, more
+	})
+}
+
+// traverse is the one version-vector traversal behind every ordered
+// multi-shard read. It visits the shards owning [lo, hi] in ascending
+// order, or descending when descend is set, each under its lock after
+// flushing deferred work, and hands the shard's array to visit, which
+// streams that shard's portion and reports whether it passed any
+// element to the caller and whether the caller wants more. Before each
+// shard the already-visited shards are revalidated against the vector;
+// a break before the first element restarts the traversal with backoff,
+// a later one is counted in SnapshotBreaks. traverse reports whether
+// the visited prefix observed one consistent cut.
+func (m *Map) traverse(lo, hi int64, descend bool, visit func(a *core.Array) (yielded, more bool)) bool {
 	jLo, jHi := m.shardOf(lo), m.shardOf(hi)
 	sv := getVec(jHi - jLo + 1)
 	defer vecPool.Put(sv)
@@ -93,11 +113,17 @@ func (m *Map) SnapshotScanRange(lo, hi int64, visit func(key, val int64) bool) b
 	attempt := 0
 	for {
 		restart := false
-		for j := jLo; j <= jHi; j++ {
+		for i := 0; i <= jHi-jLo; i++ {
+			// j is the i-th shard in visiting order; [from, to) are the
+			// shards already visited, whose versions vec recorded.
+			j, from, to := jLo+i, jLo, jLo+i
+			if descend {
+				j, from, to = jHi-i, jHi-i+1, jHi+1
+			}
 			s := &m.shards[j]
 			s.mu.Lock()
 			flushDeferred(s)
-			if consistent && !m.versionsMatch(vec[:j-jLo], jLo) {
+			if consistent && !m.versionsMatch(vec[from-jLo:to-jLo], from) {
 				if !yielded && attempt+1 < snapshotAttempts {
 					// Nothing streamed yet: the break is invisible to the
 					// caller — restart under a fresh vector instead of
@@ -112,18 +138,10 @@ func (m *Map) SnapshotScanRange(lo, hi int64, visit func(key, val int64) bool) b
 				m.snapshotBreaks.Add(1)
 			}
 			vec[j-jLo] = s.ver.Load()
-			stopped := false
-			s.a.ScanRange(lo, hi, func(k, v int64) bool {
-				yielded = true
-				if !visit(k, v) {
-					stopped = true
-					return false
-				}
-				return true
-			})
-			s.mu.Unlock()
-			if stopped {
-				break
+			y, more := visitUnlock(s, visit)
+			yielded = yielded || y
+			if !more {
+				return consistent
 			}
 		}
 		if !restart {
@@ -132,100 +150,12 @@ func (m *Map) SnapshotScanRange(lo, hi int64, visit func(key, val int64) bool) b
 	}
 }
 
-// snapshotAscend is IterAscend's lock-free-mode body: the merged
-// ascending traversal with version-vector validation. The verdict is
-// tracked for the SnapshotBreaks counter but not surfaced through the
-// iter.Seq2 shape — use SnapshotScanRange when the caller needs it.
-func (m *Map) snapshotAscend(lo, hi int64, yield func(int64, int64) bool) {
-	jLo, jHi := m.shardOf(lo), m.shardOf(hi)
-	sv := getVec(jHi - jLo + 1)
-	defer vecPool.Put(sv)
-	vec := sv.v
-	consistent := true
-	yielded := false
-	attempt := 0
-	for {
-		restart := false
-		for j := jLo; j <= jHi; j++ {
-			s := &m.shards[j]
-			s.mu.Lock()
-			flushDeferred(s)
-			if consistent && !m.versionsMatch(vec[:j-jLo], jLo) {
-				if !yielded && attempt+1 < snapshotAttempts {
-					s.mu.Unlock()
-					attempt++
-					snapshotBackoff(attempt)
-					restart = true
-					break
-				}
-				consistent = false
-				m.snapshotBreaks.Add(1)
-			}
-			vec[j-jLo] = s.ver.Load()
-			stopped := false
-			for k, v := range s.a.IterAscend(lo, hi) {
-				yielded = true
-				if !yield(k, v) {
-					stopped = true
-					break
-				}
-			}
-			s.mu.Unlock()
-			if stopped {
-				return
-			}
-		}
-		if !restart {
-			return
-		}
-	}
-}
-
-// snapshotDescend mirrors snapshotAscend right to left: the visited
-// suffix (higher shards) is revalidated before each lower shard.
-func (m *Map) snapshotDescend(lo, hi int64, yield func(int64, int64) bool) {
-	jLo, jHi := m.shardOf(lo), m.shardOf(hi)
-	sv := getVec(jHi - jLo + 1)
-	defer vecPool.Put(sv)
-	vec := sv.v
-	consistent := true
-	yielded := false
-	attempt := 0
-	for {
-		restart := false
-		for j := jHi; j >= jLo; j-- {
-			s := &m.shards[j]
-			s.mu.Lock()
-			flushDeferred(s)
-			if consistent && !m.versionsMatch(vec[j-jLo+1:], j+1) {
-				if !yielded && attempt+1 < snapshotAttempts {
-					s.mu.Unlock()
-					attempt++
-					snapshotBackoff(attempt)
-					restart = true
-					break
-				}
-				consistent = false
-				m.snapshotBreaks.Add(1)
-			}
-			vec[j-jLo] = s.ver.Load()
-			stopped := false
-			for k, v := range s.a.IterDescend(lo, hi) {
-				yielded = true
-				if !yield(k, v) {
-					stopped = true
-					break
-				}
-			}
-			s.mu.Unlock()
-			if stopped {
-				return
-			}
-		}
-		if !restart {
-			return
-		}
-	}
+// visitUnlock runs visit on shard s, whose lock the caller holds, and
+// releases the lock even when visit panics — the consumer's loop body
+// runs inside it, and a panic there must not leave the shard locked.
+func visitUnlock(s *cell, visit func(a *core.Array) (yielded, more bool)) (bool, bool) {
+	defer s.mu.Unlock()
+	return visit(s.a)
 }
 
 // snapshotAttempts bounds how many broken cuts a snapshot traversal
@@ -246,11 +176,13 @@ func snapshotBackoff(attempt int) {
 	time.Sleep(time.Duration(1<<uint(attempt)) * time.Microsecond)
 }
 
-// snapshotRank is Rank's lock-free-mode body: the left-of-x size sum
-// retried under a fresh version vector until one consistent cut covers
-// every contributing shard, then the in-shard rank of the owning shard
-// completes it under the same cut.
-func (m *Map) snapshotRank(x int64) int {
+// Rank returns the number of stored elements with key < x: the sizes of
+// the shards left of the owning shard plus the in-shard rank. The sum
+// is retried under a fresh version vector until one consistent cut
+// covers every contributing shard, then the in-shard rank of the owning
+// shard completes it under the same cut; after snapshotAttempts broken
+// cuts it settles for a consistent-per-shard sum.
+func (m *Map) Rank(x int64) int {
 	j := m.shardOf(x)
 	sv := getVec(j + 1)
 	defer vecPool.Put(sv)
@@ -284,8 +216,7 @@ func (m *Map) snapshotRank(x int64) int {
 			return r
 		}
 	}
-	// Every attempt lost the race; take the per-shard-atomic answer the
-	// locked path would have produced.
+	// Every attempt lost the race; settle for the per-shard-atomic sum.
 	m.snapshotBreaks.Add(1)
 	r := 0
 	for i := 0; i <= j; i++ {

@@ -16,7 +16,7 @@ import (
 // Linearizability checking for the lock-free read path.
 //
 // N goroutines issue concurrent Put/Delete/Get/SnapshotScan operations
-// against one Sharded map running with lock-free reads and background
+// against one Sharded map (lock-free point reads) with background
 // rebalancing, recording every operation as an event with invocation
 // and response timestamps drawn from one global atomic tick. After the
 // run, a Wing & Gong-style checker searches for a linearization: a
@@ -228,7 +228,7 @@ func TestShardedLinearizable(t *testing.T) {
 	}
 	s, err := NewShardedFromSample(6, sample,
 		WithSegmentCapacity(16), WithPageCapacity(64),
-		WithBackgroundRebalancing(2), WithLockFreeReads())
+		WithBackgroundRebalancing(2))
 	if err != nil {
 		t.Fatal(err)
 	}

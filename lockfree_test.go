@@ -10,8 +10,8 @@ import (
 
 // Unit tests for the lock-free read path at the facade: exactness
 // against a quiescent map, deterministic retry provocation, the
-// zero-allocation pin on the fast path, and degradation to the locked
-// path when the option is off.
+// zero-allocation pin on the fast path, and the seqlock protocol being
+// the read path of every map, with no option asked for.
 
 // newLockFreeFixture builds a lock-free sharded map holding diffVal
 // pairs for every even key in [0, 2n).
@@ -21,7 +21,7 @@ func newLockFreeFixture(t *testing.T, n int, opts ...Option) *Sharded {
 	for i := range sample {
 		sample[i] = int64(i) * int64(2*n) / int64(len(sample))
 	}
-	opts = append([]Option{WithSegmentCapacity(16), WithPageCapacity(64), WithLockFreeReads()}, opts...)
+	opts = append([]Option{WithSegmentCapacity(16), WithPageCapacity(64)}, opts...)
 	s, err := NewShardedFromSample(6, sample, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -152,30 +152,59 @@ func TestLockFreeGetAllocationFree(t *testing.T) {
 	}
 }
 
-// TestLockFreeOffUsesLockedPath: without the option, the counters stay
-// zero and the read surface still answers exactly — the seqlock path
-// must be strictly opt-in.
-func TestLockFreeOffUsesLockedPath(t *testing.T) {
+// TestShardedReadsLockFreeByDefault: the seqlock protocol is the only
+// read path, so a map built without any read option must answer point
+// reads exactly through it, while the rebalances of its insert stream
+// retire pages through the shards' epoch gates.
+func TestShardedReadsLockFreeByDefault(t *testing.T) {
 	s, err := NewSharded(4, WithSegmentCapacity(16), WithPageCapacity(64))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(0); i < 1000; i++ {
-		if err := s.Insert(i, diffVal(i)); err != nil {
+	const n = 4096
+	for i := 0; i < n; i++ {
+		k := int64(i*7919%n) * 2 // every even key below 2n, scattered
+		if err := s.Insert(k, diffVal(k)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := int64(0); i < 1000; i++ {
-		if v, ok := s.Find(i); !ok || v != diffVal(i) {
-			t.Fatalf("Find(%d) = (%d,%v)", i, v, ok)
+	probes := make([]int64, 2*n)
+	for i := range probes {
+		probes[i] = int64(i)
+	}
+	got := s.GetBatch(probes, nil)
+	for _, x := range probes {
+		want := x%2 == 0
+		if v, ok := s.Find(x); ok != want || (ok && v != diffVal(x)) {
+			t.Fatalf("Find(%d) = (%d,%v)", x, v, ok)
+		}
+		if l := got[x]; l.OK != want || (l.OK && l.Val != diffVal(x)) {
+			t.Fatalf("GetBatch[%d] = %+v", x, l)
+		}
+		if k, v, ok := s.Floor(x); !ok || k != x-x%2 || v != diffVal(k) {
+			t.Fatalf("Floor(%d) = (%d,%d,%v), want %d", x, k, v, ok, x-x%2)
+		}
+		k, v, ok := s.Ceiling(x)
+		if x == 2*n-1 {
+			if ok {
+				t.Fatalf("Ceiling(%d) = (%d,%v) past the largest key", x, k, ok)
+			}
+		} else if !ok || k != x+x%2 || v != diffVal(k) {
+			t.Fatalf("Ceiling(%d) = (%d,%d,%v), want %d", x, k, v, ok, x+x%2)
 		}
 	}
-	if !s.SnapshotScan(0, 999, func(k, v int64) bool { return true }) {
-		t.Error("SnapshotScan on a quiescent locked-mode map reported an inconsistent cut")
+	if !s.SnapshotScan(0, 2*n, func(k, v int64) bool { return true }) {
+		t.Error("SnapshotScan on a quiescent map reported an inconsistent cut")
 	}
 	st := s.Stats()
-	if st.LockFreeReads != 0 || st.ReadRetries != 0 || st.EpochAdvances != 0 {
-		t.Fatalf("locked-mode map recorded lock-free activity: %+v", st)
+	if st.PageSwaps == 0 {
+		t.Fatal("the insert stream never rebalanced by page swaps")
+	}
+	if st.LockFreeReads == 0 {
+		t.Fatal("a map built without options served no read lock-free")
+	}
+	if st.EpochAdvances == 0 {
+		t.Fatal("rebalance-retired pages never passed through an epoch gate")
 	}
 }
 

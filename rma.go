@@ -100,9 +100,6 @@ type options struct {
 	// durDir, when non-empty, roots the durability tree the structure
 	// checkpoints into (WithDurability).
 	durDir string
-	// lockFree enables the sharded layer's seqlock read path
-	// (WithLockFreeReads). Ignored by New.
-	lockFree bool
 	// wal, when non-nil, composes a write-ahead log with the durability
 	// tree (WithWAL). Ignored by New.
 	wal *WALConfig
@@ -211,28 +208,13 @@ func WithBackgroundRebalancing(workers int) Option {
 	return func(o *options) { o.rebalWorkers = workers }
 }
 
-// WithLockFreeReads switches the sharded map's point-read fast path to
-// an optimistic seqlock protocol (NewSharded, NewShardedFromSample and
-// OpenSharded; New ignores it — a sequential Array has no locks to
-// elide). Find, Contains, Floor, Ceiling and GetBatch first attempt the
-// read without acquiring the shard lock: writers bump a per-shard
-// version word around every mutation, readers validate it around an
-// optimistic probe of the engine's published read view and retry on a
-// lost race, falling back to the locked path after a bounded number of
-// attempts — so write-hot shards degrade to today's behavior instead of
-// live-locking readers. Pages retired by concurrent rebalances pass
-// through an epoch gate and are recycled only after every optimistic
-// reader has moved on.
+// WithLockFreeReads is a no-op kept for source compatibility: sharded
+// maps always serve point reads through the seqlock protocol described
+// in CONCURRENCY.md.
 //
-// Cross-shard reads (iterators, ScanRange, Rank) additionally track a
-// per-shard version vector: Rank retries until one consistent cut
-// covers every contributing shard, and SnapshotScan reports whether the
-// whole traversal observed a single consistent cut. Read-path counters
-// appear in Stats (LockFreeReads, ReadRetries, ReadFallbacks,
-// EpochAdvances, SnapshotBreaks). See CONCURRENCY.md for the protocol
-// and its memory-model argument.
+// Deprecated: reads are always lock-free.
 func WithLockFreeReads() Option {
-	return func(o *options) { o.lockFree = true }
+	return func(*options) {}
 }
 
 // New builds an empty Rewired Memory Array.
@@ -373,10 +355,10 @@ type Stats struct {
 	// checkpoint attempts; CheckpointPages counts pages persisted across
 	// all published checkpoints. All stay 0 without WithDurability.
 	Checkpoints, CheckpointFailures, CheckpointPages uint64
-	// Lock-free read-path counters; all stay 0 without
-	// WithLockFreeReads. LockFreeReads counts point reads served without
-	// a shard lock; ReadRetries counts optimistic attempts discarded by
-	// a racing writer; ReadFallbacks counts reads that exhausted their
+	// Read-path counters of the sharded map (all stay 0 on an Array).
+	// LockFreeReads counts point reads served without a shard lock;
+	// ReadRetries counts optimistic attempts discarded by a racing
+	// writer; ReadFallbacks counts reads that exhausted their
 	// retry budget and took the locked path; EpochAdvances counts
 	// retired-page reclamation rounds; SnapshotBreaks counts cross-shard
 	// reads that lost version-vector consistency and degraded to

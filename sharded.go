@@ -16,12 +16,14 @@ import (
 // migrate between shards; every engine-level operation — rebalances,
 // rewiring, resizes — stays confined to one shard's page space.
 //
-// All methods are safe for concurrent use. Single-shard point
-// operations (Insert, Delete, Find, Contains) are linearizable; every
-// operation that may visit several shards — iterators, Min/Max,
-// Floor/Ceiling, Rank, Select, CountRange, Sum, Size, ApplyBatch — is
-// atomic per shard but not across shards — see CONCURRENCY.md for the
-// exact contract. Iterator and scan callbacks run holding the current
+// All methods are safe for concurrent use. Point reads take no lock on
+// their fast path: they validate an optimistic read against a
+// per-shard seqlock version and fall back to the shard lock only after
+// repeated lost races. Single-shard point operations (Insert, Delete,
+// Find, Contains) are linearizable; every operation that may visit
+// several shards — iterators, Min/Max, Floor/Ceiling, Rank, Select,
+// CountRange, Sum, Size, ApplyBatch — is atomic per shard but not
+// across shards — see CONCURRENCY.md for the exact contract. Iterator and scan callbacks run holding the current
 // shard's lock and must not call back into the same Sharded map.
 //
 // With WithBackgroundRebalancing, a maintenance pool
@@ -103,11 +105,6 @@ func newSharded(seps []int64, opts []Option) (*Sharded, error) {
 // their sweeps, so the map must be fully durable before Start.
 func finishSharded(m *shard.Map, o options) *Sharded {
 	s := &Sharded{m: m}
-	if o.lockFree {
-		// Before the pool starts and before the map is shared: the epoch
-		// gates route page retirement from the first rebalance on.
-		m.EnableLockFreeReads()
-	}
 	if o.rebalWorkers != 0 {
 		workers := o.rebalWorkers
 		if workers < 0 {
@@ -192,9 +189,10 @@ func (s *Sharded) Find(key int64) (int64, bool) { return s.m.Find(key) }
 // GetBatch resolves a batch of point lookups: out is grown to
 // len(keys) (reused when its capacity suffices) and out[i] answers
 // keys[i]. Probes are grouped per shard in one counting-sort pass, so
-// each shard is locked exactly once and its group rides the engine's
-// descent-amortizing batch path. Like every multi-shard operation the
-// batch is consistent per shard, not across shards.
+// each shard is visited once: its group is read lock-free, or on
+// fallback under the lock through the engine's descent-amortizing batch
+// path. Like every multi-shard operation the batch is consistent per
+// shard, not across shards.
 func (s *Sharded) GetBatch(keys []int64, out []Lookup) []Lookup { return s.m.GetBatch(keys, out) }
 
 // Contains reports whether key is stored.
@@ -247,10 +245,7 @@ func (s *Sharded) Scan(yield func(key, val int64) bool) { s.m.Scan(yield) }
 // SnapshotScan visits every element with lo <= key <= hi in key order
 // and reports whether the whole traversal observed one consistent cut —
 // an instant at which every visited shard simultaneously held exactly
-// the state the callback saw. Requires WithLockFreeReads for the
-// verdict to be meaningful (without it, writers cannot be detected
-// between shard visits and the scan reports true with the ordinary
-// per-shard-atomic guarantee). On a broken cut the scan completes with
+// the state the callback saw. On a broken cut the scan completes with
 // per-shard semantics and returns false — callers needing a true
 // snapshot retry.
 func (s *Sharded) SnapshotScan(lo, hi int64, yield func(key, val int64) bool) bool {
