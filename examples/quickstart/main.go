@@ -108,5 +108,5 @@ func main() {
 	wg.Wait()
 	ss := sh.Stats()
 	fmt.Printf("sharded: size=%d deferred=%d background-runs=%d pending=%d\n",
-		sh.Size(), ss.DeferredWindows, ss.MaintenanceRuns, sh.PendingWindows())
+		ss.Size, ss.DeferredWindows, ss.MaintenanceRuns, ss.PendingWindows)
 }

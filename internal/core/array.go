@@ -234,10 +234,11 @@ func (a *Array) SegmentSlots() int { return a.segSlots }
 func (a *Array) Config() Config { return a.cfg }
 
 // Stats returns a snapshot of the operation counters, merged with the
-// storage substrate's counters.
+// storage substrate's counters and the array's gauges.
 func (a *Array) Stats() Stats {
 	s := a.stats
 	s.PageSwaps = a.keys.Stats().Swaps + a.vals.Stats().Swaps
+	s.Size, s.PendingWindows, s.FootprintBytes = a.n, a.PendingCount(), a.FootprintBytes()
 	return s
 }
 

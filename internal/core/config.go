@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 
 	"rma/internal/calibrator"
 	"rma/internal/detector"
@@ -195,73 +196,111 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats aggregates the engine's operation counters, exposed so the
-// benchmark harness can attribute costs the way the paper does (e.g.
-// "rebalances are responsible for between 2%% and 50%% of the cost of
-// insertions").
+// Stats is a snapshot of the store's operation counters and gauges —
+// the one definition every layer shares. Array.Stats fills the engine's
+// fields; the shard layer sums them across shards with Add and fills its
+// own read-path, WAL and checkpoint fields; the rma facade returns it as
+// rma.Stats; the RESP server's STATS prints every field under its
+// snake_case name. The counters let the benchmark harness attribute
+// costs the way the paper does (e.g. "rebalances are responsible for
+// between 2% and 50% of the cost of insertions").
+//
+// Every field is an integer that Add sums, except those tagged
+// stats:"max", which take the maximum; a new field needs no other edit.
 type Stats struct {
+	// Size is the stored element count; PendingWindows the deferred
+	// rebalance backlog (0 without WithBackgroundRebalancing);
+	// FootprintBytes the physical memory held, including spare rewiring
+	// pages, the index and the detector. Across shards each is summed
+	// shard by shard (per-shard consistent, like every multi-shard read).
+	Size           int
+	PendingWindows int
+	FootprintBytes int64
+
 	Inserts, Deletes, Lookups uint64
-	Rebalances                uint64 // windows rebalanced (excluding resizes)
-	AdaptiveRebalances        uint64 // rebalances that used marked intervals
-	RebalancedSegments        uint64 // total segments touched by rebalances
-	RebalancedElements        uint64 // total elements moved by rebalances
-	Resizes, Grows, Shrinks   uint64
-	ElementCopies             uint64 // element copy operations performed
-	PageSwaps                 uint64 // virtual page rewirings
-	SlotScans                 uint64 // slots covered by interleaved stream readers (linearity guard)
-	MaxWindowSegments         int    // largest window ever rebalanced
-	BulkLoads                 uint64
-	// DeferredWindows counts density violations a deferred-mode insert
-	// queued instead of repairing synchronously; MaintenanceRuns counts
-	// the maintenance passes that found a violation still standing and
-	// executed the deferred rebalance or grow.
-	DeferredWindows uint64
-	MaintenanceRuns uint64
-	// AllocFailures counts storage-substrate allocation failures
-	// surfaced by rebalance/resize machinery (failure injection in
+	// Rebalances counts window rebalances (resizes excluded);
+	// AdaptiveRebalances those that used the Detector's marked
+	// intervals.
+	Rebalances, AdaptiveRebalances uint64
+	// RebalancedSegments and RebalancedElements count the segments
+	// touched and elements moved by rebalances; ElementCopies counts
+	// copy operations (two-pass copies twice); MaxWindowSegments is the
+	// largest window ever rebalanced.
+	RebalancedSegments, RebalancedElements, ElementCopies uint64
+	MaxWindowSegments                                     int `stats:"max"`
+	// PageSwaps counts O(1) virtual page rewirings.
+	PageSwaps uint64
+	// SlotScans counts slots covered by interleaved stream readers
+	// during resizes and bulk loads (the linearity guard).
+	SlotScans uint64
+	// Resizes, Grows, Shrinks count capacity changes.
+	Resizes, Grows, Shrinks uint64
+	BulkLoads               uint64
+	// DeferredWindows counts density violations handed to the
+	// background rebalancer instead of repaired on the write path;
+	// MaintenanceRuns counts the background passes that found a
+	// violation still standing and executed the deferred rebalance or
+	// resize. Both stay 0 without WithBackgroundRebalancing.
+	DeferredWindows, MaintenanceRuns uint64
+	// AllocFailures counts storage allocation failures surfaced by the
+	// rebalance/resize machinery as ErrAllocFailed (failure injection in
 	// tests; a real allocator would return them under memory pressure).
-	// The array stays consistent and serving after each one — the
-	// operation that hit the failure reports an error and the structure
-	// rolls back to its pre-operation state.
+	// The structure rolls back and stays consistent after each one.
 	AllocFailures uint64
-	// Durability counters (zero unless AttachDurability): Checkpoints
-	// and CheckpointFailures count published and failed checkpoint
-	// attempts; CheckpointPages counts dirty pages persisted across all
-	// published checkpoints (the incremental-write economy: steady-state
-	// checkpoints write only what changed).
-	Checkpoints        uint64
-	CheckpointFailures uint64
-	CheckpointPages    uint64
-	// Lock-free read-path counters (zero on a bare Array; maintained by
-	// the shard layer, merged into the shard-level Stats): LockFreeReads counts point reads served without the shard
-	// lock; ReadRetries counts seqlock attempts discarded by a version
-	// change or a torn view; ReadFallbacks counts reads that exhausted
-	// their retry budget and took the locked path; EpochAdvances counts
-	// successful vmem epoch-gate advances (retired-page reclamation);
-	// SnapshotBreaks counts cross-shard snapshot reads that lost
-	// version-vector consistency and degraded to per-shard semantics.
-	LockFreeReads  uint64
-	ReadRetries    uint64
-	ReadFallbacks  uint64
-	EpochAdvances  uint64
-	SnapshotBreaks uint64
-	// Write-ahead-log counters (zero unless the shard layer enables a
-	// WAL; maintained there, merged into the shard-level Stats).
-	// WALRecords/WALWaves/WALSyncs count staged records, commit waves,
-	// and fsyncs; the rotation/truncation pairs count segment lifecycle
-	// events; the *Failures counters count injected or real faults on
-	// each edge — after every one the store keeps serving with its last
-	// recovery point intact. AutoCheckpoints counts checkpoints the
-	// scheduler initiated on its own (dirty pages, WAL bytes, or elapsed
-	// time crossed a threshold).
-	WALRecords          uint64
-	WALWaves            uint64
-	WALSyncs            uint64
-	WALRotations        uint64
-	WALTruncations      uint64
-	WALAppendFailures   uint64
-	WALSyncFailures     uint64
-	WALRotateFailures   uint64
-	WALTruncateFailures uint64
-	AutoCheckpoints     uint64
+	// Checkpoints and CheckpointFailures count published and failed
+	// checkpoint attempts; CheckpointPages counts dirty pages persisted
+	// across all published checkpoints (steady-state checkpoints write
+	// only what changed). All stay 0 without WithDurability.
+	Checkpoints, CheckpointFailures, CheckpointPages uint64
+	// CheckpointRounds and CheckpointLSN identify the last published
+	// recovery point of a sharded store: rounds published since this
+	// process started and the WAL LSN the latest covers (both 0 on an
+	// Array and without WithDurability / WithWAL).
+	CheckpointRounds, CheckpointLSN uint64
+	// Read-path counters of the sharded map (all stay 0 on an Array).
+	// LockFreeReads counts point reads served without a shard lock;
+	// ReadRetries counts optimistic attempts discarded by a racing
+	// writer; ReadFallbacks counts reads that exhausted their retry
+	// budget and took the locked path; EpochAdvances counts retired-page
+	// reclamation rounds; SnapshotBreaks counts cross-shard reads that
+	// lost version-vector consistency and degraded to per-shard
+	// semantics.
+	LockFreeReads, ReadRetries, ReadFallbacks uint64
+	EpochAdvances, SnapshotBreaks             uint64
+	// Write-ahead-log counters; all stay 0 without WithWAL. Records,
+	// waves and syncs count staged records, group-commit waves and
+	// fsyncs; rotations/truncations count segment lifecycle; the
+	// *Failures counters count faults on each WAL edge (injected or
+	// real) — after every one the store keeps serving with its last
+	// recovery point intact. AutoCheckpoints counts the checkpoint
+	// rounds the automatic scheduler started (dirty pages, WAL bytes or
+	// elapsed time crossed a threshold).
+	WALRecords, WALWaves, WALSyncs         uint64
+	WALRotations, WALTruncations           uint64
+	WALAppendFailures, WALSyncFailures     uint64
+	WALRotateFailures, WALTruncateFailures uint64
+	AutoCheckpoints                        uint64
+}
+
+// Add folds o into s field by field: integer fields sum, fields tagged
+// stats:"max" keep the larger value. It panics on a field of any other
+// kind, so a new field that Add cannot fold fails the tests at once.
+func (s *Stats) Add(o Stats) {
+	sv, ov := reflect.ValueOf(s).Elem(), reflect.ValueOf(o)
+	for i := range sv.NumField() {
+		f, g := sv.Field(i), ov.Field(i)
+		keepMax := sv.Type().Field(i).Tag.Get("stats") == "max"
+		switch {
+		case f.CanInt() && keepMax:
+			f.SetInt(max(f.Int(), g.Int()))
+		case f.CanInt():
+			f.SetInt(f.Int() + g.Int())
+		case f.CanUint() && keepMax:
+			f.SetUint(max(f.Uint(), g.Uint()))
+		case f.CanUint():
+			f.SetUint(f.Uint() + g.Uint())
+		default:
+			panic("core: Stats." + sv.Type().Field(i).Name + " is not an integer")
+		}
+	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -460,6 +461,61 @@ func TestStatsAccounting(t *testing.T) {
 	// The rewired configuration must actually swap pages.
 	if s.PageSwaps == 0 {
 		t.Fatal("rewired config performed no page swaps")
+	}
+	if s.Size != 2000 || s.PendingWindows != 0 || s.FootprintBytes != a.FootprintBytes() {
+		t.Fatalf("gauges Size=%d PendingWindows=%d FootprintBytes=%d, want 2000, 0, %d",
+			s.Size, s.PendingWindows, s.FootprintBytes, a.FootprintBytes())
+	}
+}
+
+// TestStatsAddCoversEveryField sets every field of two Stats to
+// distinct values by reflection and checks that Add folds each one: a
+// sum, or the larger value for fields tagged stats:"max". A field of a
+// kind Add cannot fold fails here.
+func TestStatsAddCoversEveryField(t *testing.T) {
+	var s, o Stats
+	sv, ov := reflect.ValueOf(&s).Elem(), reflect.ValueOf(&o).Elem()
+	typ := sv.Type()
+	set := func(f reflect.Value, i int, x int64) {
+		switch {
+		case f.CanInt():
+			f.SetInt(x)
+		case f.CanUint():
+			f.SetUint(uint64(x))
+		default:
+			t.Fatalf("Stats.%s is a %s; Add folds only integers", typ.Field(i).Name, f.Kind())
+		}
+	}
+	get := func(f reflect.Value) int64 {
+		if f.CanInt() {
+			return f.Int()
+		}
+		return int64(f.Uint())
+	}
+	maxFields := 0
+	for i := range sv.NumField() {
+		set(sv.Field(i), i, int64(1000+i))
+		set(ov.Field(i), i, int64(1+i))
+	}
+	var zero Stats
+	zero.Add(s) // max fields: the larger value is the argument's
+	s.Add(o)    // max fields: the larger value is the receiver's
+	zv := reflect.ValueOf(zero)
+	for i := range sv.NumField() {
+		want := int64(1000+i) + int64(1+i)
+		if typ.Field(i).Tag.Get("stats") == "max" {
+			maxFields++
+			want = int64(1000 + i)
+		}
+		if got := get(sv.Field(i)); got != want {
+			t.Errorf("Add: Stats.%s = %d, want %d", typ.Field(i).Name, got, want)
+		}
+		if got := get(zv.Field(i)); got != int64(1000+i) {
+			t.Errorf("Add into zero: Stats.%s = %d, want %d", typ.Field(i).Name, got, 1000+i)
+		}
+	}
+	if maxFields == 0 {
+		t.Fatal(`no field tagged stats:"max"; MaxWindowSegments must be one`)
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"reflect"
 	"strconv"
 
 	"rma"
@@ -353,10 +354,10 @@ func (s *Server) dispatch(p *pipeline, w *resp.Writer, cmd [][]byte) bool {
 			return s.wrongArity(p, w, "LASTSAVE")
 		}
 		s.flushPending(p, w)
-		st := s.db.ServeStats()
+		rounds, lsn := s.db.LastCheckpoint()
 		w.ArrayHeader(2)
-		w.Int(int64(st.CheckpointRounds))
-		w.Int(int64(st.CheckpointLSN))
+		w.Int(int64(rounds))
+		w.Int(int64(lsn))
 
 	case "FLUSH":
 		s.flushPending(p, w)
@@ -440,48 +441,47 @@ func (s *Server) scanCmd(p *pipeline, w *resp.Writer, args [][]byte) bool {
 }
 
 // statsCmd answers STATS with one bulk string of "name value" lines:
-// the store's ServeStats snapshot followed by the server counters.
+// every field of the store's Stats, the shard count, then every server
+// counter prefixed "server_".
 func (s *Server) statsCmd(w *resp.Writer) {
-	st := s.db.ServeStats()
-	sv := s.Stats()
-	var b []byte
-	line := func(name string, v uint64) {
-		b = append(b, name...)
+	b := appendStats(nil, "", s.db.Stats())
+	b = appendStats(b, "", struct{ Shards int }{s.db.NumShards()})
+	w.BulkBytes(appendStats(b, "server_", s.Stats()))
+}
+
+// appendStats appends one line per field of the integer-valued struct
+// st, in declaration order, named prefix plus the field name in
+// snake_case.
+func appendStats(b []byte, prefix string, st any) []byte {
+	v := reflect.ValueOf(st)
+	for i := range v.NumField() {
+		b = append(b, prefix...)
+		b = appendSnake(b, v.Type().Field(i).Name)
 		b = append(b, ' ')
-		b = strconv.AppendUint(b, v, 10)
+		if f := v.Field(i); f.CanInt() {
+			b = strconv.AppendInt(b, f.Int(), 10)
+		} else {
+			b = strconv.AppendUint(b, f.Uint(), 10)
+		}
 		b = append(b, '\n')
 	}
-	line("size", uint64(st.Size))
-	line("shards", uint64(st.Shards))
-	line("pending_windows", uint64(st.PendingWindows))
-	line("footprint_bytes", uint64(st.FootprintBytes))
-	line("inserts", st.Inserts)
-	line("deletes", st.Deletes)
-	line("lookups", st.Lookups)
-	line("rebalances", st.Rebalances)
-	line("deferred_windows", st.DeferredWindows)
-	line("maintenance_runs", st.MaintenanceRuns)
-	line("alloc_failures", st.AllocFailures)
-	line("checkpoints", st.Checkpoints)
-	line("checkpoint_failures", st.CheckpointFailures)
-	line("lock_free_reads", st.LockFreeReads)
-	line("read_retries", st.ReadRetries)
-	line("read_fallbacks", st.ReadFallbacks)
-	line("epoch_advances", st.EpochAdvances)
-	line("snapshot_breaks", st.SnapshotBreaks)
-	line("checkpoint_rounds", st.CheckpointRounds)
-	line("checkpoint_lsn", st.CheckpointLSN)
-	line("wal_records", st.WALRecords)
-	line("wal_syncs", st.WALSyncs)
-	line("wal_truncations", st.WALTruncations)
-	line("auto_checkpoints", st.AutoCheckpoints)
-	line("server_connections", sv.Connections)
-	line("server_active_conns", sv.ActiveConns)
-	line("server_commands", sv.Commands)
-	line("server_errors", sv.Errors)
-	line("server_read_batches", sv.ReadBatches)
-	line("server_read_batched", sv.ReadBatched)
-	line("server_write_batches", sv.WriteBatches)
-	line("server_write_batched", sv.WriteBatched)
-	w.BulkBytes(b)
+	return b
+}
+
+// appendSnake appends a Go field name in snake_case, splitting before
+// each word and after an acronym: WALRecords → wal_records,
+// CheckpointLSN → checkpoint_lsn.
+func appendSnake(b []byte, name string) []byte {
+	upper := func(i int) bool { return i < len(name) && 'A' <= name[i] && name[i] <= 'Z' }
+	for i := range len(name) {
+		c := name[i]
+		if upper(i) {
+			if i > 0 && (!upper(i-1) || i+1 < len(name) && !upper(i+1)) {
+				b = append(b, '_')
+			}
+			c += 'a' - 'A'
+		}
+		b = append(b, c)
+	}
+	return b
 }

@@ -46,7 +46,7 @@ func (c *Config) fill() {
 }
 
 // Stats counts server-level traffic (the store's own counters live in
-// rma.ServeStats).
+// rma.Stats); STATS prints each field prefixed "server_".
 type Stats struct {
 	// Connections and ActiveConns count accepted and currently open
 	// connections.

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -584,6 +586,96 @@ func TestServeDifferentialTorture(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestStatsComplete drives writes, a read and a durable CHECKPOINT,
+// then checks that STATS prints every field of rma.Stats and
+// server.Stats exactly once under its snake_case name, each with the
+// value a Stats read on the quiesced server returns.
+func TestStatsComplete(t *testing.T) {
+	srv, dial := newTestServer(t, Config{},
+		rma.WithDurability(t.TempDir()), rma.WithWAL(rma.WALConfig{
+			CheckpointInterval: -1, CheckpointWALBytes: -1,
+		}))
+	c := dial()
+	defer c.Close()
+	in := cmdLine("MSET", "1", "10", "2", "20", "3", "30") + cmdLine("GET", "2") + cmdLine("CHECKPOINT")
+	want := "+OK\r\n$2\r\n20\r\n+OK\r\n"
+	if got := roundTrip(t, c, in, len(want)); got != want {
+		t.Fatalf("setup: got %q want %q", got, want)
+	}
+	if _, err := io.WriteString(c, cmdLine("STATS")); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := resp.NewReader(c).ReadReply()
+	if err != nil || rep.Kind != resp.BulkString {
+		t.Fatalf("STATS reply: %v kind=%d", err, rep.Kind)
+	}
+	got := map[string]int64{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(rep.Bulk), "\n"), "\n") {
+		name, val, _ := strings.Cut(line, " ")
+		v, err := strconv.ParseInt(val, 10, 64)
+		if err != nil {
+			t.Fatalf("STATS line %q: %v", line, err)
+		}
+		if _, dup := got[name]; dup {
+			t.Fatalf("STATS prints %s twice", name)
+		}
+		got[name] = v
+	}
+
+	wantVals := map[string]int64{"shards": int64(srv.db.NumShards())}
+	addFields := func(prefix string, st any) {
+		v := reflect.ValueOf(st)
+		for i := range v.NumField() {
+			f, val := v.Field(i), int64(0)
+			if f.CanInt() {
+				val = f.Int()
+			} else {
+				val = int64(f.Uint())
+			}
+			wantVals[prefix+string(appendSnake(nil, v.Type().Field(i).Name))] = val
+		}
+	}
+	addFields("", srv.db.Stats())
+	addFields("server_", srv.Stats())
+	for name, w := range wantVals {
+		if g, ok := got[name]; !ok {
+			t.Errorf("STATS is missing %s", name)
+		} else if g != w {
+			t.Errorf("STATS %s = %d, Stats reads %d", name, g, w)
+		}
+	}
+	if len(got) != len(wantVals) {
+		t.Errorf("STATS prints %d names, want %d", len(got), len(wantVals))
+	}
+	if got["checkpoint_rounds"] != 1 || got["wal_records"] == 0 || got["server_commands"] != 4 {
+		t.Errorf("checkpoint_rounds=%d wal_records=%d server_commands=%d, want 1, > 0, 4",
+			got["checkpoint_rounds"], got["wal_records"], got["server_commands"])
+	}
+
+	// The wire names are a contract: every name STATS has printed keeps
+	// its spelling, and snake_case splits acronyms.
+	for _, name := range strings.Fields(`size shards pending_windows
+		footprint_bytes inserts deletes lookups rebalances deferred_windows
+		maintenance_runs alloc_failures checkpoints checkpoint_failures
+		lock_free_reads read_retries read_fallbacks epoch_advances
+		snapshot_breaks checkpoint_rounds checkpoint_lsn wal_records wal_syncs
+		wal_truncations auto_checkpoints server_connections server_active_conns
+		server_commands server_errors server_read_batches server_read_batched
+		server_write_batches server_write_batched`) {
+		if _, ok := got[name]; !ok {
+			t.Errorf("STATS no longer prints %s", name)
+		}
+	}
+	for field, name := range map[string]string{
+		"WALRecords": "wal_records", "CheckpointLSN": "checkpoint_lsn",
+		"MaxWindowSegments": "max_window_segments", "WALTruncateFailures": "wal_truncate_failures",
+	} {
+		if g := string(appendSnake(nil, field)); g != name {
+			t.Errorf("snake_case(%s) = %q, want %q", field, g, name)
+		}
+	}
 }
 
 // TestServeCheckpointLastsave drives the operator recovery-point

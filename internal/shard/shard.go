@@ -606,45 +606,24 @@ func (m *Map) FootprintBytes() int64 {
 	return f
 }
 
-// Stats returns the operation counters summed across shards
-// (MaxWindowSegments is the maximum), locking each shard once.
+// Stats returns the store's counters and gauges summed across shards
+// (core.Stats.Add), locking each shard once, plus the map-level
+// read-path, WAL and checkpoint fields.
 func (m *Map) Stats() core.Stats {
-	var t core.Stats
+	t := core.Stats{FootprintBytes: int64(cap(m.seps)) * 8}
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.Lock()
 		st := s.a.Stats()
-		advances := s.gate.Advances()
+		st.EpochAdvances = s.gate.Advances()
 		s.mu.Unlock()
-		t.Inserts += st.Inserts
-		t.Deletes += st.Deletes
-		t.Lookups += st.Lookups
-		t.Rebalances += st.Rebalances
-		t.AdaptiveRebalances += st.AdaptiveRebalances
-		t.RebalancedSegments += st.RebalancedSegments
-		t.RebalancedElements += st.RebalancedElements
-		t.Resizes += st.Resizes
-		t.Grows += st.Grows
-		t.Shrinks += st.Shrinks
-		t.ElementCopies += st.ElementCopies
-		t.PageSwaps += st.PageSwaps
-		t.SlotScans += st.SlotScans
-		t.BulkLoads += st.BulkLoads
-		t.DeferredWindows += st.DeferredWindows
-		t.MaintenanceRuns += st.MaintenanceRuns
-		t.AllocFailures += st.AllocFailures
-		t.Checkpoints += st.Checkpoints
-		t.CheckpointFailures += st.CheckpointFailures
-		t.CheckpointPages += st.CheckpointPages
-		t.EpochAdvances += advances
-		if st.MaxWindowSegments > t.MaxWindowSegments {
-			t.MaxWindowSegments = st.MaxWindowSegments
-		}
+		t.Add(st)
 	}
 	t.LockFreeReads = m.lockFreeReads.Load()
 	t.ReadRetries = m.readRetries.Load()
 	t.ReadFallbacks = m.readFallbacks.Load()
 	t.SnapshotBreaks = m.snapshotBreaks.Load()
+	t.CheckpointRounds, t.CheckpointLSN = m.LastCheckpoint()
 	if m.wal != nil {
 		ws := m.wal.Stats()
 		t.WALRecords = ws.Records

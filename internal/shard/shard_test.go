@@ -373,6 +373,25 @@ func TestStatsAggregation(t *testing.T) {
 	if st.Rebalances == 0 || st.Grows == 0 {
 		t.Fatalf("expected rebalances and grows across shards, got %+v", st)
 	}
+	// The map total is the Add of the per-shard engine Stats plus the
+	// map-level fields; no reader races this quiesced map.
+	want := core.Stats{FootprintBytes: int64(cap(m.seps)) * 8}
+	maxWindow := 0
+	for i := range m.shards {
+		s := m.shards[i].a.Stats()
+		s.EpochAdvances = m.shards[i].gate.Advances()
+		want.Add(s)
+		maxWindow = max(maxWindow, s.MaxWindowSegments)
+	}
+	if st != want {
+		t.Fatalf("Map.Stats is not the Add of the shard Stats:\n got %+v\nwant %+v", st, want)
+	}
+	if st.MaxWindowSegments == 0 || st.MaxWindowSegments != maxWindow {
+		t.Fatalf("MaxWindowSegments = %d, want the per-shard maximum %d", st.MaxWindowSegments, maxWindow)
+	}
+	if st.Size != 20000 || st.FootprintBytes != m.FootprintBytes() {
+		t.Fatalf("gauges Size=%d FootprintBytes=%d, want 20000, %d", st.Size, st.FootprintBytes, m.FootprintBytes())
+	}
 	if m.FootprintBytes() <= 0 {
 		t.Fatal("FootprintBytes not positive")
 	}

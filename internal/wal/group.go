@@ -345,10 +345,10 @@ func (l *Log) rotate() {
 	l.f.Close()
 	l.segLk.Lock()
 	l.segments = append(l.segments, old)
+	l.segOff.Store(segHeaderBytes)
 	l.segLk.Unlock()
 	l.f = f
 	l.segSeq = seq
-	l.segOff.Store(segHeaderBytes)
 	l.segMaxLSN = 0
 	if err := syncDir(l.dir); err != nil {
 		l.rotateFailures.Add(1)

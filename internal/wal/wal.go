@@ -435,18 +435,27 @@ func (l *Log) EnsureLSNAtLeast(floor uint64) {
 // LiveBytes returns the total on-disk size of live segments.
 func (l *Log) LiveBytes() int64 {
 	l.segLk.Lock()
-	n := int64(0)
+	defer l.segLk.Unlock()
+	return l.liveBytesLocked()
+}
+
+// liveBytesLocked sums the sealed segments and the active one. The
+// caller holds segLk, under which rotation moves the active segment's
+// bytes into segments.
+func (l *Log) liveBytesLocked() int64 {
+	n := l.segOff.Load()
 	for _, s := range l.segments {
 		n += s.bytes
 	}
-	l.segLk.Unlock()
-	return n + l.segOff.Load()
+	return n
 }
 
-// Stats returns a snapshot of the log's counters.
+// Stats returns a snapshot of the log's counters. Segments and
+// LiveBytes are read under one segLk hold, so a rotation cannot fall
+// between them.
 func (l *Log) Stats() Stats {
 	l.segLk.Lock()
-	segs := len(l.segments)
+	segs, live := len(l.segments), l.liveBytesLocked()
 	l.segLk.Unlock()
 	return Stats{
 		Records:          l.records.Load(),
@@ -460,7 +469,7 @@ func (l *Log) Stats() Stats {
 		TruncateFailures: l.truncateFailures.Load(),
 		BytesWritten:     l.bytesWritten.Load(),
 		Segments:         segs + 1,
-		LiveBytes:        l.LiveBytes(),
+		LiveBytes:        live,
 		LastLSN:          l.lsn.Load(),
 	}
 }

@@ -328,73 +328,13 @@ func (r *Array) Density() float64 { return r.a.Density() }
 // including spare rewiring pages, the index and the detector.
 func (r *Array) FootprintBytes() int64 { return r.a.FootprintBytes() }
 
-// Stats is a snapshot of the array's operation counters.
-type Stats struct {
-	Inserts, Deletes, Lookups uint64
-	// Rebalances counts window rebalances; AdaptiveRebalances those that
-	// used the Detector's marked intervals.
-	Rebalances, AdaptiveRebalances uint64
-	// RebalancedElements counts elements moved by rebalances;
-	// ElementCopies counts copy operations (two-pass copies twice).
-	RebalancedElements, ElementCopies uint64
-	// PageSwaps counts O(1) virtual page rewirings.
-	PageSwaps uint64
-	// Resizes, Grows, Shrinks count capacity changes.
-	Resizes, Grows, Shrinks uint64
-	BulkLoads               uint64
-	// DeferredWindows counts density violations handed to the
-	// background rebalancer instead of repaired on the write path;
-	// MaintenanceRuns counts the background passes that executed the
-	// deferred rebalance or resize. Both stay 0 without
-	// WithBackgroundRebalancing.
-	DeferredWindows, MaintenanceRuns uint64
-	// AllocFailures counts storage allocation failures surfaced as
-	// ErrAllocFailed; the structure stays consistent after each one.
-	AllocFailures uint64
-	// Checkpoints and CheckpointFailures count published and failed
-	// checkpoint attempts; CheckpointPages counts pages persisted across
-	// all published checkpoints. All stay 0 without WithDurability.
-	Checkpoints, CheckpointFailures, CheckpointPages uint64
-	// Read-path counters of the sharded map (all stay 0 on an Array).
-	// LockFreeReads counts point reads served without a shard lock;
-	// ReadRetries counts optimistic attempts discarded by a racing
-	// writer; ReadFallbacks counts reads that exhausted their
-	// retry budget and took the locked path; EpochAdvances counts
-	// retired-page reclamation rounds; SnapshotBreaks counts cross-shard
-	// reads that lost version-vector consistency and degraded to
-	// per-shard semantics.
-	LockFreeReads, ReadRetries, ReadFallbacks uint64
-	EpochAdvances, SnapshotBreaks             uint64
-	// Write-ahead-log counters; all stay 0 without WithWAL. Records,
-	// waves and syncs count staged records, group-commit waves and
-	// fsyncs; rotations/truncations count segment lifecycle; the
-	// *Failures counters count faults on each WAL edge (injected or
-	// real) — after every one the store keeps serving with its last
-	// recovery point intact. AutoCheckpoints counts the checkpoint
-	// rounds the automatic scheduler started.
-	WALRecords, WALWaves, WALSyncs         uint64
-	WALRotations, WALTruncations           uint64
-	WALAppendFailures, WALSyncFailures     uint64
-	WALRotateFailures, WALTruncateFailures uint64
-	AutoCheckpoints                        uint64
-}
+// Stats is a snapshot of the store's operation counters and gauges.
+// Each field is documented on core.Stats; the read-path, WAL and
+// checkpoint-round fields stay 0 on an Array.
+type Stats = core.Stats
 
 // Stats returns the operation counters accumulated so far.
-func (r *Array) Stats() Stats {
-	s := r.a.Stats()
-	return Stats{
-		Inserts: s.Inserts, Deletes: s.Deletes, Lookups: s.Lookups,
-		Rebalances: s.Rebalances, AdaptiveRebalances: s.AdaptiveRebalances,
-		RebalancedElements: s.RebalancedElements, ElementCopies: s.ElementCopies,
-		PageSwaps: s.PageSwaps,
-		Resizes:   s.Resizes, Grows: s.Grows, Shrinks: s.Shrinks,
-		BulkLoads:       s.BulkLoads,
-		DeferredWindows: s.DeferredWindows, MaintenanceRuns: s.MaintenanceRuns,
-		AllocFailures: s.AllocFailures,
-		Checkpoints:   s.Checkpoints, CheckpointFailures: s.CheckpointFailures,
-		CheckpointPages: s.CheckpointPages,
-	}
-}
+func (r *Array) Stats() Stats { return r.a.Stats() }
 
 // Validate checks every structural invariant; it is O(n) and meant for
 // tests and debugging.

@@ -126,6 +126,21 @@ func TestPublicBulkLoadAndStats(t *testing.T) {
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// Inserts into a dense run rebalance; the facade reports the
+	// engine's rebalance geometry and gauges too.
+	for k := int64(0); k < 2000; k++ {
+		if err := a.Insert(1<<21+k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s = a.Stats()
+	if s.Rebalances == 0 || s.RebalancedSegments == 0 || s.MaxWindowSegments == 0 {
+		t.Fatalf("Rebalances=%d RebalancedSegments=%d MaxWindowSegments=%d, want all > 0",
+			s.Rebalances, s.RebalancedSegments, s.MaxWindowSegments)
+	}
+	if s.Size != a.Size() || s.FootprintBytes != a.FootprintBytes() {
+		t.Fatalf("gauges Size=%d FootprintBytes=%d, want %d, %d", s.Size, s.FootprintBytes, a.Size(), a.FootprintBytes())
+	}
 }
 
 func TestBaselinesShareTheInterface(t *testing.T) {

@@ -265,71 +265,11 @@ func (s *Sharded) Size() int { return s.m.Size() }
 // FootprintBytes returns the physical memory held by all shards.
 func (s *Sharded) FootprintBytes() int64 { return s.m.FootprintBytes() }
 
-// Stats returns the operation counters summed across shards.
-func (s *Sharded) Stats() Stats {
-	st := s.m.Stats()
-	return Stats{
-		Inserts: st.Inserts, Deletes: st.Deletes, Lookups: st.Lookups,
-		Rebalances: st.Rebalances, AdaptiveRebalances: st.AdaptiveRebalances,
-		RebalancedElements: st.RebalancedElements, ElementCopies: st.ElementCopies,
-		PageSwaps: st.PageSwaps,
-		Resizes:   st.Resizes, Grows: st.Grows, Shrinks: st.Shrinks,
-		BulkLoads:       st.BulkLoads,
-		DeferredWindows: st.DeferredWindows, MaintenanceRuns: st.MaintenanceRuns,
-		AllocFailures: st.AllocFailures,
-		Checkpoints:   st.Checkpoints, CheckpointFailures: st.CheckpointFailures,
-		CheckpointPages: st.CheckpointPages,
-		LockFreeReads:   st.LockFreeReads, ReadRetries: st.ReadRetries,
-		ReadFallbacks: st.ReadFallbacks, EpochAdvances: st.EpochAdvances,
-		SnapshotBreaks: st.SnapshotBreaks,
-		WALRecords:     st.WALRecords, WALWaves: st.WALWaves, WALSyncs: st.WALSyncs,
-		WALRotations: st.WALRotations, WALTruncations: st.WALTruncations,
-		WALAppendFailures: st.WALAppendFailures, WALSyncFailures: st.WALSyncFailures,
-		WALRotateFailures: st.WALRotateFailures, WALTruncateFailures: st.WALTruncateFailures,
-		AutoCheckpoints: st.AutoCheckpoints,
-	}
-}
-
-// ServeStats is the serving-layer snapshot: the operation counters
-// plus the load diagnostics a front end or soak harness reports in one
-// call — cardinality, shard fan-out, deferred-maintenance backlog and
-// physical footprint. rmaserve's STATS command and the rmabench serve
-// harness both emit it.
-type ServeStats struct {
-	Stats
-	// Size is the stored element count (per-shard consistent, like
-	// every multi-shard read).
-	Size int
-	// Shards is the shard fan-out K.
-	Shards int
-	// PendingWindows is the deferred rebalance backlog across shards (0
-	// without WithBackgroundRebalancing).
-	PendingWindows int
-	// FootprintBytes is the physical memory held by all shards.
-	FootprintBytes int64
-	// CheckpointRounds and CheckpointLSN identify the last published
-	// recovery point: rounds published since this process started and
-	// the WAL LSN the latest covers (both 0 without WithDurability /
-	// WithWAL) — the LASTSAVE surface.
-	CheckpointRounds uint64
-	CheckpointLSN    uint64
-}
-
-// ServeStats returns the serving snapshot. It takes each shard's lock
-// once per aggregated surface; under heavy traffic call it at reporting
+// Stats returns the operation counters and gauges summed across
+// shards, locking each shard once, plus the last published recovery
+// point (CheckpointRounds, CheckpointLSN). Call it at reporting
 // cadence, not per request.
-func (s *Sharded) ServeStats() ServeStats {
-	rounds, lsn := s.m.LastCheckpoint()
-	return ServeStats{
-		Stats:            s.Stats(),
-		Size:             s.Size(),
-		Shards:           s.NumShards(),
-		PendingWindows:   s.PendingWindows(),
-		FootprintBytes:   s.FootprintBytes(),
-		CheckpointRounds: rounds,
-		CheckpointLSN:    lsn,
-	}
-}
+func (s *Sharded) Stats() Stats { return s.m.Stats() }
 
 // Validate checks every shard's structural invariants and shard-range
 // ownership; O(n), for tests and debugging.
